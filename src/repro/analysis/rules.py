@@ -791,8 +791,10 @@ class SetIterationRule(Rule):
     Detection is type-light: an expression is set-ish if it is a set
     literal/comprehension, a ``set()``/``frozenset()`` call, set
     algebra over a set-ish operand, a local name bound or annotated
-    set-ish, or a ``self.x`` attribute annotated set-ish in its class
-    body.  Unknown expressions are assumed not to be sets, so the rule
+    set-ish, a ``self.x`` attribute bound set-ish, or an attribute on
+    *any* receiver (``entry.holders``) whose name the module annotates
+    set-ish — as ``obj.x: set[...]`` or as a class-body field.  Unknown
+    expressions are assumed not to be sets, so the rule
     under-approximates rather than guessing.
     """
 
@@ -819,11 +821,13 @@ class SetIterationRule(Rule):
         super().__init__()
         self._set_names: set[str] = set()
         self._set_attrs: set[str] = set()
+        self._typed_attrs: set[str] = set()
 
     def begin_module(self, module: SourceModule) -> None:
         super().begin_module(module)
         self._set_names = set()
         self._set_attrs = set()
+        self._typed_attrs = set()
         # Two passes so a name annotated below its first use still
         # counts; assignments of set-ish values come second because
         # they may reference names collected in the first pass.
@@ -831,6 +835,14 @@ class SetIterationRule(Rule):
             if isinstance(node, ast.AnnAssign) and \
                     self._is_set_annotation(node.annotation):
                 self._bind_target(node.target)
+                if isinstance(node.target, ast.Attribute):
+                    self._typed_attrs.add(node.target.attr)
+            elif isinstance(node, ast.ClassDef):
+                self._typed_attrs.update(
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and self._is_set_annotation(stmt.annotation))
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Assign) and \
                     self._is_setish(node.value):
@@ -871,10 +883,12 @@ class SetIterationRule(Rule):
                     or self._is_setish(node.right))
         if isinstance(node, ast.Name):
             return node.id in self._set_names
-        if (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"):
-            return node.attr in self._set_attrs
+        if isinstance(node, ast.Attribute):
+            if node.attr in self._typed_attrs:
+                return True
+            return (isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr in self._set_attrs)
         return False
 
     def _flag(self, node: ast.AST, how: str) -> None:

@@ -27,6 +27,7 @@ known upfront from the trace) and held until commit, abort, or restart.
 from __future__ import annotations
 
 import enum
+import operator
 import typing
 
 from .transactions import Transaction
@@ -52,19 +53,14 @@ class AcquireOutcome(enum.Enum):
     BLOCKED = "blocked"
 
 
-class AcquireResult:
+class AcquireResult(typing.NamedTuple):
     """Outcome of :meth:`LockManager.acquire_all` plus its side effects."""
 
-    __slots__ = ("outcome", "restarted", "blocking_holders")
-
-    def __init__(self, outcome: AcquireOutcome,
-                 restarted: tuple[Transaction, ...] = (),
-                 blocking_holders: tuple[Transaction, ...] = ()) -> None:
-        self.outcome = outcome
-        #: Lower-priority holders that were restarted to make room.
-        self.restarted = restarted
-        #: Higher-priority holders the requester is now waiting on.
-        self.blocking_holders = blocking_holders
+    outcome: AcquireOutcome
+    #: Lower-priority holders that were restarted to make room.
+    restarted: tuple[Transaction, ...] = ()
+    #: Higher-priority holders the requester is now waiting on.
+    blocking_holders: tuple[Transaction, ...] = ()
 
     @property
     def granted(self) -> bool:
@@ -76,12 +72,21 @@ class AcquireResult:
                 f"blocked_on={len(self.blocking_holders)}>")
 
 
+#: The uncontended grant: no restarts, no blockers.  Immutable, so every
+#: fast-path acquisition returns this one instance.
+_GRANTED = AcquireResult(AcquireOutcome.GRANTED)
+
+_by_txn_id = operator.attrgetter("txn_id")
+
+
 class _LockEntry:
+    """A locked key.  Never empty: the last release deletes it."""
+
     __slots__ = ("mode", "holders")
 
-    def __init__(self) -> None:
-        self.mode: LockMode = LockMode.READ
-        self.holders: set[Transaction] = set()
+    def __init__(self, mode: LockMode, holder: Transaction) -> None:
+        self.mode = mode
+        self.holders: set[Transaction] = {holder}
 
 
 class LockManager:
@@ -134,17 +139,30 @@ class LockManager:
         nothing is acquired and the requester must block.
         """
         keys = txn.touched_items()
+        table = self._table
+        for key in keys:
+            if key in table:
+                break
+        else:
+            # Uncontended, the common case: 2PL-HP conflicts need a
+            # (suspended) holder, and ``_table`` only keeps locked keys.
+            # Holding none of its own keys, ``txn`` holds no lock at all.
+            for key in keys:
+                table[key] = _LockEntry(mode, txn)
+            self._held[txn] = set(keys)
+            return _GRANTED
 
-        # First pass: find conflicts and split them by priority.
+        # First pass: find conflicts and split them by priority.  Holders
+        # are visited in txn_id order, so restarts and blockers come out
+        # in a replay-stable order (the holder set is identity-hashed).
         to_restart: list[Transaction] = []
         blockers: list[Transaction] = []
         for key in keys:
-            entry = self._table.get(key)
-            if entry is None or not entry.holders:
+            entry = table.get(key)
+            if (entry is None or _compatible(entry.mode, mode)
+                    or entry.holders == {txn}):
                 continue
-            if _compatible(entry.mode, mode) or entry.holders == {txn}:
-                continue
-            for holder in entry.holders:
+            for holder in sorted(entry.holders, key=_by_txn_id):
                 if holder is txn:
                     continue
                 self.conflicts += 1
@@ -168,15 +186,13 @@ class LockManager:
 
         # Second pass: grant.
         for key in keys:
-            entry = self._table.get(key)
+            entry = table.get(key)
             if entry is None:
-                entry = _LockEntry()
-                self._table[key] = entry
-            if not entry.holders:
-                entry.mode = mode
-            entry.holders.add(txn)
-            if mode is LockMode.WRITE:
-                entry.mode = LockMode.WRITE
+                table[key] = _LockEntry(mode, txn)
+            else:
+                entry.holders.add(txn)
+                if mode is LockMode.WRITE:
+                    entry.mode = LockMode.WRITE
         self._held.setdefault(txn, set()).update(keys)
         return AcquireResult(AcquireOutcome.GRANTED, restarted=restarted)
 

@@ -198,14 +198,17 @@ class DatabaseServer:
         return (f"<DatabaseServer t={self.env.now:.0f} "
                 f"running={self._running!r}>")
 
-    def _observe(self, kind: str, txn: Transaction,
-                 **data: typing.Any) -> None:
-        """Feed one lifecycle event to the invariant monitor (if any)."""
-        if self.monitor is not None:
-            self.monitor.record(
-                kind, txn_id=txn.txn_id,
-                pending_queries=self.scheduler.pending_queries(),
-                pending_updates=self.scheduler.pending_updates(), **data)
+    def _observe(self, monitor: InvariantMonitor, kind: str,
+                 txn: Transaction, **data: typing.Any) -> None:
+        """Feed one lifecycle event to the invariant monitor.
+
+        Callers test ``self.monitor is not None`` first, so an unmonitored
+        run builds no keyword arguments for it.
+        """
+        monitor.record(
+            kind, txn_id=txn.txn_id,
+            pending_queries=self.scheduler.pending_queries(),
+            pending_updates=self.scheduler.pending_updates(), **data)
 
     # ------------------------------------------------------------------
     # Arrivals
@@ -217,26 +220,31 @@ class DatabaseServer:
         query never enters the ledger's denominators (the contract was
         declined, not broken).
         """
-        self._check_up()
-        self._observe("query_submitted", query)
+        if self._crashed:
+            self._refuse_work()
+        now = self.env.now
+        monitor = self.monitor
+        if monitor is not None:
+            self._observe(monitor, "query_submitted", query)
         if self._probe is not None:
-            self._probe.arrive(self.env.now, query)
+            self._probe.arrive(now, query)
         if self.admission is not None and not self.admission.admit(
                 query, self):
             query.status = TxnStatus.REJECTED
-            query.finish_time = self.env.now
+            query.finish_time = now
             self.ledger.on_query_rejected(
-                query, self.env.now,
+                query, now,
                 shed=getattr(self.admission, "is_shedding", False))
-            self._observe("query_rejected", query)
+            if monitor is not None:
+                self._observe(monitor, "query_rejected", query)
             if self._probe is not None:
-                self._probe.reject(self.env.now, query)
+                self._probe.reject(now, query)
             return
         query.status = TxnStatus.QUEUED
-        self.ledger.on_query_submitted(query, self.env.now)
+        self.ledger.on_query_submitted(query, now)
         self.scheduler.submit_query(query)
         if self._probe is not None:
-            self._probe.queued(self.env.now, query)
+            self._probe.queued(now, query)
         self._on_arrival(query)
 
     def adopt_query(self, query: Query) -> None:
@@ -250,7 +258,8 @@ class DatabaseServer:
         Cluster-level sums therefore count each contract once on each side.
         Admission control is bypassed — the query was already admitted.
         """
-        self._check_up()
+        if self._crashed:
+            self._refuse_work()
         query.status = TxnStatus.QUEUED
         self.ledger.counters.increment("queries_adopted")
         self.scheduler.submit_query(query)
@@ -260,33 +269,40 @@ class DatabaseServer:
 
     def submit_update(self, update: Update) -> None:
         """A blind update arrives from the external source."""
-        self._check_up()
-        self._observe("update_submitted", update)
+        if self._crashed:
+            self._refuse_work()
+        now = self.env.now
+        monitor = self.monitor
+        if monitor is not None:
+            self._observe(monitor, "update_submitted", update)
         if self._probe is not None:
-            self._probe.arrive(self.env.now, update)
-        superseded = self.database.register_update(update, self.env.now)
+            self._probe.arrive(now, update)
+        superseded = self.database.register_update(update, now)
         if superseded is not None:
-            self.ledger.on_update_superseded(superseded, self.env.now)
+            self.ledger.on_update_superseded(superseded, now)
             self.locks.release_all(superseded)
-            self._unblock_waiters()
+            if self._blocked:
+                self._unblock_waiters()
             if superseded.status is TxnStatus.DROPPED_SUPERSEDED:
                 # Only a live victim *transitioned* here; a register
                 # entry stranded by an earlier crash already reached its
                 # terminal (lost) state.
-                self._observe("update_superseded", superseded)
+                if monitor is not None:
+                    self._observe(monitor, "update_superseded", superseded)
                 if self._probe is not None:
-                    self._probe.supersede(self.env.now, superseded, update)
+                    self._probe.supersede(now, superseded, update)
             if superseded is self._running:
                 self._proc.interrupt(_Superseded(superseded))
         update.status = TxnStatus.QUEUED
         self.scheduler.submit_update(update)
         if self._probe is not None:
-            self._probe.queued(self.env.now, update)
+            self._probe.queued(now, update)
         self._on_arrival(update)
 
     def _on_arrival(self, txn: Transaction) -> None:
-        if self._idle_wakeup is not None and not self._idle_wakeup.triggered:
-            self._idle_wakeup.succeed()
+        wakeup = self._idle_wakeup
+        if wakeup is not None and not wakeup.triggered:
+            wakeup.succeed()
             return
         running = self._running
         if running is not None and self.scheduler.preempts(running, txn):
@@ -306,7 +322,8 @@ class DatabaseServer:
                     pass
                 self._recover_event = None
                 continue
-            txn = self.scheduler.next_transaction(env.now)
+            now = env.now
+            txn = self.scheduler.next_transaction(now)
             if txn is None:
                 self._idle_wakeup = env.event()
                 try:
@@ -317,7 +334,7 @@ class DatabaseServer:
                 continue
 
             if (txn.is_query and self.config.drop_late_queries
-                    and typing.cast(Query, txn).past_lifetime(env.now)):
+                    and typing.cast(Query, txn).past_lifetime(now)):
                 self._drop_query(typing.cast(Query, txn))
                 continue
 
@@ -482,7 +499,8 @@ class DatabaseServer:
         if self._probe is not None:
             self._probe.restart(self.env.now, update)
         self.scheduler.requeue(update)
-        self._unblock_waiters()
+        if self._blocked:
+            self._unblock_waiters()
 
     # ------------------------------------------------------------------
     # Completion paths
@@ -513,8 +531,9 @@ class DatabaseServer:
             txn.status = TxnStatus.COMMITTED
             self.ledger.on_query_committed(query, now)
             self.scheduler.notify_query_finished(query)
-            self._observe("query_committed", query,
-                          profit=query.total_profit)
+            if self.monitor is not None:
+                self._observe(self.monitor, "query_committed", query,
+                              profit=query.total_profit)
             if self.query_outcome_hook is not None:
                 self.query_outcome_hook(query, True)
         else:
@@ -524,11 +543,13 @@ class DatabaseServer:
             if self.wal is not None:
                 self.wal.append_applied(update, now)
             self.ledger.on_update_applied(update, now)
-            self._observe("update_applied", update)
+            if self.monitor is not None:
+                self._observe(self.monitor, "update_applied", update)
         if self._probe is not None:
             self._probe.commit(now, txn)
         self.locks.release_all(txn)
-        self._unblock_waiters()
+        if self._blocked:
+            self._unblock_waiters()
 
     def _measure_staleness(self, query: Query, now: float) -> float:
         """The query's QoD metric per ``ServerConfig.qod_metric``."""
@@ -540,17 +561,20 @@ class DatabaseServer:
         return self.database.query_value_distance(query)
 
     def _drop_query(self, query: Query) -> None:
-        query.finish_time = self.env.now
+        now = self.env.now
+        query.finish_time = now
         query.status = TxnStatus.DROPPED_LIFETIME
         self.locks.release_all(query)
-        self.ledger.on_query_dropped(query, self.env.now)
+        self.ledger.on_query_dropped(query, now)
         self.scheduler.notify_query_finished(query)
-        self._observe("query_dropped", query)
+        if self.monitor is not None:
+            self._observe(self.monitor, "query_dropped", query)
         if self._probe is not None:
-            self._probe.expire(self.env.now, query)
+            self._probe.expire(now, query)
         if self.query_outcome_hook is not None:
             self.query_outcome_hook(query, False)
-        self._unblock_waiters()
+        if self._blocked:
+            self._unblock_waiters()
 
     def _handle_restart(self, loser: Transaction) -> None:
         """A 2PL-HP victim: progress lost, back to its queue."""
@@ -563,9 +587,11 @@ class DatabaseServer:
         self.scheduler.requeue(loser)
 
     def _unblock_waiters(self) -> None:
-        """Lock state changed: give every blocked transaction another try."""
-        if not self._blocked:
-            return
+        """Lock state changed: give every blocked transaction another try.
+
+        Callers test ``self._blocked`` first; with no waiter there is
+        nothing to do.
+        """
         waiters = list(self._blocked)
         self._blocked.clear()
         for txn in waiters:
@@ -601,11 +627,11 @@ class DatabaseServer:
     def crashed(self) -> bool:
         return self._crashed
 
-    def _check_up(self) -> None:
-        if self._crashed:
-            raise RuntimeError(
-                "server is crashed; a dead replica receives no work "
-                "(the portal must gate routing and broadcasts)")
+    def _refuse_work(self) -> typing.NoReturn:
+        """Arrival on a crashed server (callers test ``self._crashed``)."""
+        raise RuntimeError(
+            "server is crashed; a dead replica receives no work "
+            "(the portal must gate routing and broadcasts)")
 
     def crash(self) -> list[Transaction]:
         """Fail-stop: drop every piece of in-flight work.
@@ -727,10 +753,12 @@ class DatabaseServer:
                 self._probe.unfinished(self.env.now, txn)
             if txn.is_query:
                 self.ledger.on_query_unfinished(typing.cast(Query, txn))
-                self._observe("query_unfinished", txn)
+                if self.monitor is not None:
+                    self._observe(self.monitor, "query_unfinished", txn)
             else:
                 self.ledger.on_update_unfinished(typing.cast(Update, txn))
-                self._observe("update_unfinished", txn)
+                if self.monitor is not None:
+                    self._observe(self.monitor, "update_unfinished", txn)
 
     def _queue_sampler(self) -> ProcessGenerator:
         every = self.config.queue_sample_every

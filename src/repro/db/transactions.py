@@ -24,7 +24,15 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 
 class TxnStatus(enum.Enum):
-    """Lifecycle states of a transaction inside the server."""
+    """Lifecycle states of a transaction inside the server.
+
+    Every member carries a precomputed ``live`` flag (membership in
+    :data:`LIVE_STATUSES`), so liveness checks on the hot path read an
+    attribute instead of hashing the enum.
+    """
+
+    #: True iff the status is in :data:`LIVE_STATUSES` (set below).
+    live: bool
 
     #: Created but not yet submitted to a server.
     CREATED = "created"
@@ -58,6 +66,10 @@ LIVE_STATUSES = frozenset({
     TxnStatus.SUSPENDED, TxnStatus.BLOCKED,
 })
 
+for _status in TxnStatus:
+    _status.live = _status in LIVE_STATUSES
+del _status
+
 _txn_ids = itertools.count(1)
 
 
@@ -67,6 +79,10 @@ def _next_txn_id() -> int:
 
 class Transaction:
     """Common state shared by queries and updates."""
+
+    #: Transaction class, fixed per subclass (no per-call isinstance).
+    is_query: typing.ClassVar[bool] = False
+    is_update: typing.ClassVar[bool] = False
 
     __slots__ = (
         "txn_id", "arrival_time", "exec_time", "remaining", "_status",
@@ -114,7 +130,7 @@ class Transaction:
     def status(self, new: TxnStatus) -> None:
         old = self._status
         self._status = new
-        if new not in LIVE_STATUSES and old in LIVE_STATUSES:
+        if old.live and not new.live:
             if self._queue is not None:
                 # Died while queued (e.g. superseded by a newer update):
                 # tell the owning queue so its live accounting stays
@@ -124,21 +140,13 @@ class Transaction:
                 self.on_terminal(self)
 
     @property
-    def is_query(self) -> bool:
-        return isinstance(self, Query)
-
-    @property
-    def is_update(self) -> bool:
-        return isinstance(self, Update)
-
-    @property
     def alive(self) -> bool:
         """True while the transaction can still complete."""
-        return self.status in LIVE_STATUSES
+        return self._status.live
 
     @property
     def done(self) -> bool:
-        return not self.alive
+        return not self._status.live
 
     def response_time(self) -> float:
         """Commit latency; only valid for finished transactions."""
@@ -165,6 +173,8 @@ class Query(Transaction):
 
     __slots__ = ("items", "qc", "lifetime_deadline", "staleness",
                  "qos_profit", "qod_profit", "degraded", "shadow_priced")
+
+    is_query = True
 
     def __init__(self, arrival_time: float, exec_time: float,
                  items: typing.Sequence[str],
@@ -241,6 +251,8 @@ class Update(Transaction):
     """
 
     __slots__ = ("item", "value", "seq")
+
+    is_update = True
 
     def __init__(self, arrival_time: float, exec_time: float, item: str,
                  value: float = 0.0) -> None:

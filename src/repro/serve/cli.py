@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import signal
 import typing
 
 from repro.scheduling import make_scheduler
@@ -86,6 +87,9 @@ async def _serve_forever(args: argparse.Namespace) -> int:
 
 def serve_main(argv: typing.Sequence[str] | None = None) -> int:
     args = build_serve_parser().parse_args(argv)
+    # SIGINT is the stop signal.  A shell starts background jobs with
+    # SIGINT ignored and children inherit that, so take it back.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         return asyncio.run(_serve_forever(args))
     except KeyboardInterrupt:  # pragma: no cover - interactive stop

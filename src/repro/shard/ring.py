@@ -79,6 +79,9 @@ class HashRing:
         points.sort()
         self._positions = [p for p, _ in points]
         self._owners = [s for _, s in points]
+        #: key -> owner, filled on first lookup.  Exact because the ring
+        #: never changes; successors start with their own empty cache.
+        self._owner_of: dict[str, int] = {}
 
     def __repr__(self) -> str:
         return (f"<HashRing shards={self.n_shards} "
@@ -86,11 +89,14 @@ class HashRing:
 
     def owner(self, key: str) -> int:
         """The shard owning ``key`` (first vnode at/after its position)."""
-        position = _position(self.seed, f"key:{key}")
-        index = bisect.bisect_left(self._positions, position)
-        if index == len(self._positions):
-            index = 0  # wrap past the top of the circle
-        return self._owners[index]
+        shard = self._owner_of.get(key)
+        if shard is None:
+            position = _position(self.seed, f"key:{key}")
+            index = bisect.bisect_left(self._positions, position)
+            if index == len(self._positions):
+                index = 0  # wrap past the top of the circle
+            shard = self._owner_of[key] = self._owners[index]
+        return shard
 
     def assign(self, keys: typing.Iterable[str]) -> dict[int, list[str]]:
         """Ownership map ``shard -> keys`` (every key exactly once)."""

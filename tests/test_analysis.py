@@ -797,6 +797,55 @@ class TestSetIteration:
         assert rule_ids(findings) == ["no-set-iteration"]
         assert findings[0].line == 6
 
+    def test_fires_on_annotated_attribute_of_any_receiver(self, tmp_path):
+        # The 2PL-HP lock manager's old shape: a holder set annotated in
+        # the entry class, iterated through another object.
+        findings = lint_snippet(tmp_path, """\
+            class _LockEntry:
+                def __init__(self, holder):
+                    self.holders: set[object] = {holder}
+
+            def conflicts(table, keys):
+                for key in keys:
+                    entry = table[key]
+                    for holder in entry.holders:
+                        yield holder
+            """, select=["no-set-iteration"])
+        assert rule_ids(findings) == ["no-set-iteration"]
+        assert findings[0].line == 8
+
+    def test_fires_on_class_body_set_field(self, tmp_path):
+        findings = lint_snippet(tmp_path, """\
+            import dataclasses
+
+            @dataclasses.dataclass
+            class Shard:
+                members: frozenset[str]
+
+            def dump(shard):
+                return [member for member in shard.members]
+            """, select=["no-set-iteration"])
+        assert rule_ids(findings) == ["no-set-iteration"]
+        assert findings[0].line == 8
+
+    def test_quiet_on_sorted_or_unannotated_attribute(self, tmp_path):
+        findings = lint_snippet(tmp_path, """\
+            import operator
+
+            class _LockEntry:
+                def __init__(self, holder):
+                    self.holders: set[object] = {holder}
+                    self.waiters = [holder]
+
+            def conflicts(entry):
+                for holder in sorted(entry.holders,
+                                     key=operator.attrgetter("txn_id")):
+                    yield holder
+                for waiter in entry.waiters:
+                    yield waiter
+            """, select=["no-set-iteration"])
+        assert findings == []
+
     def test_fires_on_set_algebra_result(self, tmp_path):
         findings = lint_snippet(tmp_path, """\
             a = {1, 2}

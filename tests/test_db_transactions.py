@@ -52,6 +52,17 @@ class TestTransactionBasics:
         update.status = TxnStatus.COMMITTED
         assert update.done
 
+    @pytest.mark.parametrize("status", list(TxnStatus))
+    def test_live_flag_matches_live_statuses(self, status):
+        # LIVE_STATUSES is the source of truth; the flag is derived.
+        assert status.live is (status in LIVE_STATUSES)
+
+    def test_class_flags_are_class_attributes(self):
+        assert (Query.is_query, Query.is_update) == (True, False)
+        assert (Update.is_query, Update.is_update) == (False, True)
+        assert (Transaction.is_query, Transaction.is_update) == \
+            (False, False)
+
     def test_touched_items_abstract(self):
         txn = Transaction.__new__(Transaction)
         Transaction.__init__(txn, 0.0, 1.0)

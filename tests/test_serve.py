@@ -18,6 +18,11 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -593,3 +598,28 @@ class TestServeCli:
         # The report-side deadline and the server default must agree,
         # or the two overload arms would be scored on different sticks.
         assert GatewayConfig().deadline_factor == DEADLINE_FACTOR
+
+    def test_serve_stops_on_sigint_when_started_ignoring_it(self):
+        # A shell starts background jobs with SIGINT ignored, and the
+        # child inherits that; `repro serve` must still stop cleanly on
+        # SIGINT, its documented stop signal.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stdin=subprocess.DEVNULL,
+            text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT,
+                                             signal.SIG_IGN))
+        try:
+            assert proc.stdout is not None
+            line = proc.stdout.readline()
+            assert "listening on" in line
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            assert proc.stdout is not None
+            proc.stdout.close()

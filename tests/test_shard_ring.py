@@ -12,6 +12,9 @@ The three properties the rebalancer's correctness rests on:
   targeted hot-shard drain.
 """
 
+import bisect
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,3 +133,35 @@ class TestMinimalMovement:
     def test_unchanged_ring_moves_nothing(self):
         ring = HashRing(4, seed=3)
         assert ring.moved_keys(ring.with_weight(0, 1), STOCKS) == {}
+
+
+
+def fresh_owners(ring: HashRing, keys: list[str]) -> list[int]:
+    """Each key's owner from scratch: sha256 every vnode and every key."""
+    def position(label: str) -> int:
+        digest = hashlib.sha256(f"{ring.seed}:{label}".encode()).digest()
+        return int.from_bytes(digest[:8], "big")
+
+    points = sorted(
+        (position(f"vnode:{shard}:{vnode}"), shard)
+        for shard, weight in ring.weights.items()
+        for vnode in range(weight * ring.vnodes_per_weight))
+    positions = [p for p, _ in points]
+    return [points[bisect.bisect_left(positions, position(f"key:{key}"))
+                   % len(points)][1]
+            for key in keys]
+
+
+class TestMemoizedOwner:
+    def test_cached_owner_matches_a_fresh_lookup(self):
+        """The per-ring owner cache is exact for every stock, on the
+        first (miss) and the second (hit) lookup, across successor
+        rings — each successor starts from its own cache."""
+        ring = HashRing(4, seed=5)
+        successors = [ring, ring.with_weight(1, 3),
+                      ring.with_weight(1, 3).with_shard(),
+                      ring.with_shard().with_weight(0, 2)]
+        for successor in successors:
+            fresh = fresh_owners(successor, STOCKS)
+            assert [successor.owner(key) for key in STOCKS] == fresh
+            assert [successor.owner(key) for key in STOCKS] == fresh
