@@ -28,6 +28,11 @@ single-event-queue only ``sim.environment`` owns an event-queue
                    implementation; no second heapq in the kernel
                    package, no poking ``_cal_*`` internals, no
                    HeapEnvironment in library code
+single-lifecycle   only ``db.lifecycle`` moves a transaction into the
+                   profit ledger or prices a contract: no
+                   ``.on_query_*``/``.on_update_*``/``.on_restart``
+                   ledger call and no ``qc.evaluate`` anywhere else in
+                   the library
 no-entropy-taint   host-entropy values (wall clock, OS randomness,
                    unseeded RNGs) may not flow — even through
                    function returns — into event scheduling
@@ -46,7 +51,8 @@ from .core import ProjectGraph, Rule, SourceModule
 __all__ = ["ALL_RULES", "AmbientEntropyRule", "ClockEqualityRule",
            "EntropyTaintRule", "ExceptionHygieneRule", "GlobalRngRule",
            "PicklableTaskRule", "SetIterationRule",
-           "SingleEventQueueRule", "SlotsHygieneRule", "WallClockRule"]
+           "SingleEventQueueRule", "SingleLifecycleRule",
+           "SlotsHygieneRule", "WallClockRule"]
 
 #: Directories holding the simulator's hot paths: classes here are
 #: constructed millions of times per run and stay ``__slots__``-based.
@@ -557,6 +563,39 @@ class SingleEventQueueRule(Rule):
 
 
 # ----------------------------------------------------------------------
+class SingleLifecycleRule(Rule):
+    """Only ``db.lifecycle`` may book, price or close a transaction.
+
+    The paper prices each query once, at commit (§2.1); the DES server,
+    the live gateway, the shard planner and the replicated portal must
+    all do it one way, so library code calls no ledger
+    ``on_query_*``/``on_update_*``/``on_restart`` hook and no
+    ``<...>.qc.evaluate`` outside :mod:`repro.db.lifecycle` (and the
+    ledger itself).
+    """
+
+    rule_id = "single-lifecycle"
+    summary = ("ledger hook or contract evaluation outside db.lifecycle "
+               "(.on_query_*/.on_update_*/.on_restart or qc.evaluate)")
+    scope = ("src/repro",)
+    exempt = ("src/repro/db/lifecycle.py", "src/repro/metrics/profit.py")
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if not isinstance(func, ast.Attribute):
+            return
+        if (func.attr.startswith(("on_query_", "on_update_"))
+                or func.attr == "on_restart"):
+            self.report(node, f"calls the ledger hook '{func.attr}'; "
+                              f"transitions go through db.lifecycle")
+        elif func.attr == "evaluate" and (
+                getattr(func.value, "id", None) == "qc"
+                or getattr(func.value, "attr", None) == "qc"):
+            self.report(node, "evaluates a quality contract; commit "
+                              "pricing is db.lifecycle.price")
+
+
+# ----------------------------------------------------------------------
 class EntropyTaintRule(Rule):
     """Host entropy may not flow into event scheduling — even indirectly.
 
@@ -944,6 +983,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     ExceptionHygieneRule,
     AmbientEntropyRule,
     SingleEventQueueRule,
+    SingleLifecycleRule,
     EntropyTaintRule,
     SetIterationRule,
 )

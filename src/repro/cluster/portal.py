@@ -40,8 +40,9 @@ import typing
 
 from repro.db.admission import AdmissionPolicy
 from repro.db.database import Database
+from repro.db.lifecycle import Lifecycle
 from repro.db.server import DatabaseServer, ServerConfig
-from repro.db.transactions import Query, Transaction, TxnStatus, Update
+from repro.db.transactions import Query, TxnStatus, Update
 from repro.db.wal import DurabilityConfig, WalRecord, WriteAheadLog
 from repro.metrics.profit import ProfitLedger
 from repro.scheduling.base import Scheduler
@@ -266,8 +267,8 @@ class ReplicatedPortal:
             breaker_rng = streams.stream("cluster.breaker")
             for handle in self.replicas:
                 handle.breaker = CircuitBreaker(health, breaker_rng)
-                handle.server.query_outcome_hook = functools.partial(
-                    self._on_query_outcome, handle)
+                handle.server.lifecycle.query_outcome_hook = (
+                    functools.partial(self._on_query_outcome, handle))
         if durability is not None:
             env.process(self._checkpointer(), name="checkpointer")
         #: Queries routed per replica (for balance inspection); failover
@@ -277,8 +278,8 @@ class ReplicatedPortal:
         #: merged with the per-replica ledgers by :meth:`counters`.
         self.fault_counters = CounterSet()
         #: Queries currently waiting in a failover retry loop, mapped to
-        #: the ledger holding their contract's maxima.
-        self._retrying: dict[Query, ProfitLedger] = {}
+        #: the lifecycle whose ledger holds their contract's maxima.
+        self._retrying: dict[Query, Lifecycle] = {}
         #: Pre-computed hedge backups (txn_id -> replica index), kept
         #: only when the router nominates backups (HedgedRouter).
         self._backups: dict[int, int] = {}
@@ -290,12 +291,6 @@ class ReplicatedPortal:
         self.outage_spans: list[tuple[float, float]] = []
         #: The in-progress portal-wide outage (None normally).
         self._portal_incident: RecoveryIncident | None = None
-
-    def _observe(self, kind: str, txn: Transaction,
-                 **data: typing.Any) -> None:
-        """Feed a portal-level lifecycle event to the invariant monitor."""
-        if self.monitor is not None:
-            self.monitor.record(kind, txn_id=txn.txn_id, **data)
 
     def _checkpointer(self) -> ProcessGenerator:
         """Periodically checkpoint every live replica (durability only)."""
@@ -327,27 +322,38 @@ class ReplicatedPortal:
         failover retry loop, hoping for a recovery within its lifetime.
         Returns ``-1`` in that case.
         """
+        return self._route(query, adopted=False)
+
+    def _route(self, query: Query, adopted: bool) -> int:
         try:
             index = self.router.choose(query, self.replicas)
         except NoHealthyReplica:
-            self._observe("query_submitted", query)
-            self.replicas[0].ledger.on_query_submitted(query, self.env.now)
+            intake = self.replicas[0].server.lifecycle
+            if not adopted:
+                intake.book(query, self.env.now)
             self.fault_counters.increment("queries_stranded_arrival")
-            self._start_failover(query, self.replicas[0].ledger,
-                                 backup_index=None)
+            self._start_failover(query, intake, backup_index=None)
             return -1
         if not 0 <= index < len(self.replicas):
             raise ValueError(f"router chose invalid replica {index}")
-        handle = self.replicas[index]
-        if not handle.up:
+        if not self.replicas[index].up:
             raise ValueError(f"router chose dead replica {index}")
+        self._dispatch(query, index, adopted)
+        return index
+
+    def _dispatch(self, query: Query, index: int, adopted: bool) -> None:
+        """Hand ``query`` to live replica ``index``: submitted fresh, or
+        adopted when its contract is priced elsewhere."""
+        handle = self.replicas[index]
         self.routed_counts[index] += 1
         if handle.breaker is not None:
             handle.breaker.record_routed(self.env.now)
-        handle.server.submit_query(query)
+        if adopted:
+            handle.server.adopt_query(query)
+        else:
+            handle.server.submit_query(query)
         if query.alive:  # not rejected by admission control
             self._remember_backup(query, index)
-        return index
 
     def broadcast_update(self, arrival_time: float, exec_ms: float,
                          item: str, value: float) -> None:
@@ -451,7 +457,8 @@ class ReplicatedPortal:
             # work.  It goes first — those updates were *applied* before
             # the stranded in-flight ones arrived, and the register table
             # resolves per-item re-sync order by last-write-wins.
-            lost = handle.server.lose_volatile_state()
+            lost = handle.wal.crash()
+            handle.server.database.clear()
             incident.rpo_uu = len(lost)
             self.fault_counters.increment("wal_records_lost", len(lost))
             for record in lost:
@@ -461,7 +468,7 @@ class ReplicatedPortal:
             if txn.is_query:
                 self.fault_counters.increment("queries_failed_over")
                 self._start_failover(
-                    typing.cast(Query, txn), handle.ledger,
+                    typing.cast(Query, txn), handle.server.lifecycle,
                     backup_index=self._backups.pop(txn.txn_id, None))
             else:
                 self._lose_update(typing.cast(Update, txn), handle)
@@ -497,12 +504,19 @@ class ReplicatedPortal:
         crashed_at = typing.cast(float, handle.crashed_at)
         incident = handle.open_incident
         if handle.wal is not None:
-            # Restore BEFORE rejoining.  The CRC scan inside survives
-            # silent corruption: the replay truncates at the first bad
-            # record and the refused suffix is read-repaired from a
-            # healthy peer below, instead of the old fail-stop abort.
-            checkpoint, replayed, refused = (
-                handle.server.restore_durable_state())
+            # Restore BEFORE rejoining: the last checkpoint plus the
+            # verified durable WAL tail.  The CRC scan survives silent
+            # corruption: the replay stops at the first bad record, and
+            # it and everything after it (the LSN chain past a torn
+            # record is untrustworthy) are read-repaired from a healthy
+            # peer below, instead of the old fail-stop abort.
+            database = handle.server.database
+            checkpoint, tail, refused = handle.wal.recover_verified()
+            if checkpoint is not None:
+                database.restore(checkpoint.items)
+            for record in tail:
+                database.replay_applied(record)
+            replayed = len(tail)
             if incident is not None:
                 incident.wal_replayed = replayed
                 incident.checkpoint_at = (
@@ -544,9 +558,7 @@ class ReplicatedPortal:
     def _lose_update(self, update: Update, handle: ReplicaHandle) -> None:
         """An in-flight update died with its replica; the source is
         durable, so it is queued for re-push at recovery."""
-        update.status = TxnStatus.LOST_CRASH
-        update.finish_time = self.env.now
-        self._observe("update_lost", update)
+        handle.server.lifecycle.lose(update, self.env.now)
         if self._probe is not None:
             self._probe.lost(self.env.now, update)
         self.fault_counters.increment("updates_lost_crash")
@@ -797,16 +809,16 @@ class ReplicatedPortal:
         else:
             self._backups.pop(query.txn_id, None)
 
-    def _start_failover(self, query: Query, ledger: ProfitLedger,
+    def _start_failover(self, query: Query, intake: Lifecycle,
                         backup_index: int | None) -> None:
         query.status = TxnStatus.CREATED  # between servers again
-        self._retrying[query] = ledger
+        self._retrying[query] = intake
         if self._probe is not None:
             self._probe.failover(self.env.now, query)
-        self.env.process(self._failover(query, ledger, backup_index),
+        self.env.process(self._failover(query, intake, backup_index),
                          name=f"failover-{query.txn_id}")
 
-    def _failover(self, query: Query, ledger: ProfitLedger,
+    def _failover(self, query: Query, intake: Lifecycle,
                   backup_index: int | None) -> ProcessGenerator:
         # Hedge: the router pre-nominated a backup — resubmit immediately.
         if backup_index is not None and self.replicas[backup_index].up:
@@ -827,31 +839,22 @@ class ReplicatedPortal:
                 continue
             self._adopt(query, index)
             return
-        self._lose_query(query, ledger)
+        self._lose_query(query, intake)
 
     def _adopt(self, query: Query, index: int) -> None:
         """Resubmit a stranded query to replica ``index``."""
         if query.remaining != query.exec_time:
             query.reset_for_restart()  # partial work died with the crash
         del self._retrying[query]
-        self.routed_counts[index] += 1
         self.fault_counters.increment("query_retries")
         if self._probe is not None:
             self._probe.adopt(self.env.now, query, index)
-        handle = self.replicas[index]
-        if handle.breaker is not None:
-            handle.breaker.record_routed(self.env.now)
-        handle.server.adopt_query(query)
-        if query.alive:
-            self._remember_backup(query, index)
+        self._dispatch(query, index, adopted=True)
 
-    def _lose_query(self, query: Query, ledger: ProfitLedger) -> None:
+    def _lose_query(self, query: Query, intake: Lifecycle) -> None:
         del self._retrying[query]
         self._backups.pop(query.txn_id, None)
-        query.status = TxnStatus.LOST_CRASH
-        query.finish_time = self.env.now
-        ledger.on_query_lost_to_crash(query, self.env.now)
-        self._observe("query_lost", query)
+        intake.lose(query, self.env.now)
         if self._probe is not None:
             self._probe.lost(self.env.now, query)
 
@@ -904,8 +907,8 @@ class ReplicatedPortal:
                 replica.crashed_at = now  # keep a second finalize additive
         # Queries parked in a backoff when the horizon hit: lost, not
         # vanished — their contracts stay in the denominators.
-        for query, ledger in list(self._retrying.items()):
-            self._lose_query(query, ledger)
+        for query, intake in list(self._retrying.items()):
+            self._lose_query(query, intake)
         for replica in self.replicas:
             replica.server.finalize()
 
@@ -923,25 +926,7 @@ class ReplicatedPortal:
         only the ledger pricing differs.  Returns the serving replica's
         index, or ``-1`` when the query entered the failover loop.
         """
-        try:
-            index = self.router.choose(query, self.replicas)
-        except NoHealthyReplica:
-            self.fault_counters.increment("queries_stranded_arrival")
-            self._start_failover(query, self.replicas[0].ledger,
-                                 backup_index=None)
-            return -1
-        if not 0 <= index < len(self.replicas):
-            raise ValueError(f"router chose invalid replica {index}")
-        handle = self.replicas[index]
-        if not handle.up:
-            raise ValueError(f"router chose dead replica {index}")
-        self.routed_counts[index] += 1
-        if handle.breaker is not None:
-            handle.breaker.record_routed(self.env.now)
-        handle.server.adopt_query(query)
-        if query.alive:
-            self._remember_backup(query, index)
-        return index
+        return self._route(query, adopted=True)
 
     def staleness_age(self, key: str) -> float:
         """Simulated-time age of ``key``'s oldest unapplied update on the

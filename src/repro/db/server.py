@@ -2,11 +2,12 @@
 
 A single CPU executes queries and updates in the order the attached
 scheduler dictates (§2 "CPU scheduling is the primary means of improving
-performance").  The server implements:
+performance").  Ledger, pricing and terminal transitions go through its
+:class:`~repro.db.lifecycle.Lifecycle`; the server is the DES executor:
 
-* arrival handling — queries are priced into the profit ledger and queued;
-  updates pass through the register table (invalidating pending older
-  updates, even a *running* one — the 2PL-HP write-write rule);
+* arrival handling — updates pass through the register table
+  (invalidating pending older updates, even a *running* one — the 2PL-HP
+  write-write rule);
 * a preemptive executor — the scheduler bounds each running slice with a
   quantum (QUTS's atom time) and may preempt on arrivals (UH/QH); preempted
   work keeps its locks and remaining service time;
@@ -30,7 +31,6 @@ from repro.scheduling.base import Scheduler
 from repro.sim import Environment, Interrupt
 from repro.sim.process import ProcessGenerator
 from repro.sim.invariants import InvariantMonitor
-from repro.sim.monitor import TimeSeries
 from repro.sim.rng import StreamRegistry
 from repro.telemetry.events import CAT_KERNEL
 from repro.telemetry.hooks import TelemetryKnob, TelemetrySession
@@ -38,9 +38,10 @@ from repro.telemetry.tracer import TelemetryConfig
 
 from .admission import AdmissionPolicy
 from .database import Database
+from .lifecycle import Lifecycle
 from .locks import LockManager, LockMode
 from .transactions import Query, Transaction, TxnStatus, Update
-from .wal import Checkpoint, WalRecord, WriteAheadLog
+from .wal import Checkpoint, WriteAheadLog
 
 #: Float slack for "service time exhausted".
 _EPS = 1e-9
@@ -55,8 +56,6 @@ class ServerConfig:
     #: is small against 1-9 ms service times but makes τ→1 ms measurably
     #: wasteful, reproducing the left edge of Figure 10b.
     class_switch_overhead: float = 0.1
-    #: Drop queries whose lifetime deadline passed before completion.
-    drop_late_queries: bool = True
     #: What a *cross-class preemption* (UH/QH's "preemptive dual priority
     #: queue") does to a running update: "restart" aborts it 2PL-HP-style
     #: (blind writes are idempotent and cheap to redo, and aborting avoids
@@ -73,8 +72,6 @@ class ServerConfig:
     #: differential in ms ("td"), or the value distance ("vd").  The QC's
     #: ``uumax`` threshold is interpreted in the chosen metric's unit.
     qod_metric: str = "uu"
-    #: Record queue-length samples every this many ms (0 disables).
-    queue_sample_every: float = 0.0
     #: Structured tracing/metrics (:mod:`repro.telemetry`).  ``None`` (the
     #: default) disables instrumentation entirely — the server then pays
     #: one pointer comparison per hook and nothing in the kernel loop.
@@ -85,10 +82,6 @@ class ServerConfig:
             raise ValueError(
                 f"class_switch_overhead must be >= 0, "
                 f"got {self.class_switch_overhead}")
-        if self.queue_sample_every < 0:
-            raise ValueError(
-                f"queue_sample_every must be >= 0, "
-                f"got {self.queue_sample_every}")
         if self.update_preemption not in ("restart", "suspend"):
             raise ValueError(
                 f"update_preemption must be 'restart' or 'suspend', "
@@ -147,9 +140,6 @@ class DatabaseServer:
         #: is journalled and :meth:`take_checkpoint` fences the log with
         #: a crash-consistent database snapshot.
         self.wal = wal
-        #: Optional runtime invariant monitor (an observer: it never
-        #: perturbs the run).  See :mod:`repro.sim.invariants`.
-        self.monitor = monitor
 
         scheduler.bind(env, streams)
         self.locks = LockManager(scheduler.has_lock_priority)
@@ -168,16 +158,16 @@ class DatabaseServer:
         if (session is not None and env.telemetry is None
                 and session.tracer.enabled_for(CAT_KERNEL)):
             env.telemetry = session.kernel_probe()
+        #: ``monitor``: an optional InvariantMonitor (a pure observer).
+        self.lifecycle = Lifecycle(
+            ledger, scheduler, database=database, wal=wal,
+            qod_metric=self.config.qod_metric, monitor=monitor,
+            probe=self._probe)
 
         #: Gray-failure service-rate multiplier (1.0 = nominal).  A CPU
         #: slice of s ms of *work* occupies s × slowdown ms of wall
         #: clock; set by the portal's ``slow_replica`` fault hook.
         self._slowdown = 1.0
-        #: Optional callback ``(query, ok)`` the portal installs to feed
-        #: its failure detector: True on commit, False when the query
-        #: dies on this server (lifetime drop).
-        self.query_outcome_hook: (
-            typing.Callable[[Query, bool], None] | None) = None
 
         self._running: Transaction | None = None
         self._last_class: str | None = None
@@ -189,26 +179,11 @@ class DatabaseServer:
         #: Transactions blocked on locks, with the holders they wait for.
         self._blocked: dict[Transaction, frozenset[str]] = {}
 
-        self.queue_lengths = TimeSeries("query_queue_length")
         self._proc = env.process(self._executor(), name="db-server")
-        if self.config.queue_sample_every > 0:
-            env.process(self._queue_sampler(), name="queue-sampler")
 
     def __repr__(self) -> str:
         return (f"<DatabaseServer t={self.env.now:.0f} "
                 f"running={self._running!r}>")
-
-    def _observe(self, monitor: InvariantMonitor, kind: str,
-                 txn: Transaction, **data: typing.Any) -> None:
-        """Feed one lifecycle event to the invariant monitor.
-
-        Callers test ``self.monitor is not None`` first, so an unmonitored
-        run builds no keyword arguments for it.
-        """
-        monitor.record(
-            kind, txn_id=txn.txn_id,
-            pending_queries=self.scheduler.pending_queries(),
-            pending_updates=self.scheduler.pending_updates(), **data)
 
     # ------------------------------------------------------------------
     # Arrivals
@@ -222,30 +197,8 @@ class DatabaseServer:
         """
         if self._crashed:
             self._refuse_work()
-        now = self.env.now
-        monitor = self.monitor
-        if monitor is not None:
-            self._observe(monitor, "query_submitted", query)
-        if self._probe is not None:
-            self._probe.arrive(now, query)
-        if self.admission is not None and not self.admission.admit(
-                query, self):
-            query.status = TxnStatus.REJECTED
-            query.finish_time = now
-            self.ledger.on_query_rejected(
-                query, now,
-                shed=getattr(self.admission, "is_shedding", False))
-            if monitor is not None:
-                self._observe(monitor, "query_rejected", query)
-            if self._probe is not None:
-                self._probe.reject(now, query)
-            return
-        query.status = TxnStatus.QUEUED
-        self.ledger.on_query_submitted(query, now)
-        self.scheduler.submit_query(query)
-        if self._probe is not None:
-            self._probe.queued(now, query)
-        self._on_arrival(query)
+        if self.lifecycle.admit(query, self.env.now, self.admission, self):
+            self._on_arrival(query)
 
     def adopt_query(self, query: Query) -> None:
         """Enqueue a query whose contract is already priced elsewhere.
@@ -260,11 +213,8 @@ class DatabaseServer:
         """
         if self._crashed:
             self._refuse_work()
-        query.status = TxnStatus.QUEUED
         self.ledger.counters.increment("queries_adopted")
-        self.scheduler.submit_query(query)
-        if self._probe is not None:
-            self._probe.queued(self.env.now, query)
+        self.lifecycle.enqueue(query, self.env.now)
         self._on_arrival(query)
 
     def submit_update(self, update: Update) -> None:
@@ -272,31 +222,14 @@ class DatabaseServer:
         if self._crashed:
             self._refuse_work()
         now = self.env.now
-        monitor = self.monitor
-        if monitor is not None:
-            self._observe(monitor, "update_submitted", update)
-        if self._probe is not None:
-            self._probe.arrive(now, update)
-        superseded = self.database.register_update(update, now)
+        superseded = self.lifecycle.register(update, now)
         if superseded is not None:
-            self.ledger.on_update_superseded(superseded, now)
             self.locks.release_all(superseded)
             if self._blocked:
                 self._unblock_waiters()
-            if superseded.status is TxnStatus.DROPPED_SUPERSEDED:
-                # Only a live victim *transitioned* here; a register
-                # entry stranded by an earlier crash already reached its
-                # terminal (lost) state.
-                if monitor is not None:
-                    self._observe(monitor, "update_superseded", superseded)
-                if self._probe is not None:
-                    self._probe.supersede(now, superseded, update)
             if superseded is self._running:
                 self._proc.interrupt(_Superseded(superseded))
-        update.status = TxnStatus.QUEUED
-        self.scheduler.submit_update(update)
-        if self._probe is not None:
-            self._probe.queued(now, update)
+        self.lifecycle.enqueue(update, now)
         self._on_arrival(update)
 
     def _on_arrival(self, txn: Transaction) -> None:
@@ -333,9 +266,9 @@ class DatabaseServer:
                 self._idle_wakeup = None
                 continue
 
-            if (txn.is_query and self.config.drop_late_queries
-                    and typing.cast(Query, txn).past_lifetime(now)):
-                self._drop_query(typing.cast(Query, txn))
+            if txn.is_query and typing.cast(Query, txn).past_lifetime(now):
+                self.lifecycle.drop(typing.cast(Query, txn), now)
+                self._release(txn)
                 continue
 
             # Charge the class-switch overhead before the new class runs.
@@ -359,7 +292,8 @@ class DatabaseServer:
                     self._probe.block(env.now, txn)
                 continue
             for loser in result.restarted:
-                self._handle_restart(loser)
+                self._blocked.pop(loser, None)
+                self.lifecycle.restart(loser, env.now)
 
             yield from self._run(txn)
 
@@ -394,12 +328,7 @@ class DatabaseServer:
 
     def _run(self, txn: Transaction) -> ProcessGenerator:
         env = self.env
-        txn.status = TxnStatus.RUNNING
-        if self._probe is not None:
-            self._probe.running(env.now, txn,
-                                resumed=txn.start_time is not None)
-        if txn.start_time is None:
-            txn.start_time = env.now
+        self.lifecycle.start(txn, env.now)
         self._running = txn
 
         while True:
@@ -474,7 +403,10 @@ class DatabaseServer:
                     self._probe.preempt(self.env.now, txn, arrival)
                 if (txn.is_update
                         and self.config.update_preemption == "restart"):
-                    self._restart_preempted_update(txn)
+                    # Cross-class preemption aborts the running update
+                    # (2PL-HP): the blind write is redone later.
+                    self.lifecycle.restart(txn, self.env.now)
+                    self._release(txn)
                 else:
                     self._suspend(txn)
                 return "stop"
@@ -489,102 +421,15 @@ class DatabaseServer:
             self._probe.suspend(self.env.now, txn)
         self.scheduler.requeue(txn)
 
-    def _restart_preempted_update(self, update: Transaction) -> None:
-        """A cross-class preemption aborts the running update (2PL-HP):
-        its write lock is released and the blind write is redone later."""
-        update.reset_for_restart()
-        self.locks.release_all(update)
-        self.ledger.on_restart(victim_is_query=False)
-        update.status = TxnStatus.QUEUED
-        if self._probe is not None:
-            self._probe.restart(self.env.now, update)
-        self.scheduler.requeue(update)
-        if self._blocked:
-            self._unblock_waiters()
-
-    # ------------------------------------------------------------------
-    # Completion paths
-    # ------------------------------------------------------------------
     def _commit(self, txn: Transaction) -> None:
-        now = self.env.now
-        txn.finish_time = now
-        if txn.is_query:
-            # Quality metadata is filled in *before* the status flips so
-            # that ``on_terminal`` observers (fired from the status
-            # setter) see the completed record.
-            query = typing.cast(Query, txn)
-            query.staleness = self._measure_staleness(query, now)
-            qos, qod = query.qc.evaluate(query.response_time(),
-                                         query.staleness)
-            if query.degraded:
-                # Brownout answers skip freshness work: the QoD half of
-                # the contract is forfeited, whatever the staleness
-                # metric says (the QoS half is what brownout saves).
-                qod = 0.0
-            if query.shadow_priced:
-                # The contract only shaped scheduling priority here; the
-                # coordinating layer (e.g. the shard planner's parent
-                # query) prices and credits the real contract.
-                qos = qod = 0.0
-            query.qos_profit = qos
-            query.qod_profit = qod
-            txn.status = TxnStatus.COMMITTED
-            self.ledger.on_query_committed(query, now)
-            self.scheduler.notify_query_finished(query)
-            if self.monitor is not None:
-                self._observe(self.monitor, "query_committed", query,
-                              profit=query.total_profit)
-            if self.query_outcome_hook is not None:
-                self.query_outcome_hook(query, True)
-        else:
-            txn.status = TxnStatus.COMMITTED
-            update = typing.cast(Update, txn)
-            self.database.apply_update(update, now)
-            if self.wal is not None:
-                self.wal.append_applied(update, now)
-            self.ledger.on_update_applied(update, now)
-            if self.monitor is not None:
-                self._observe(self.monitor, "update_applied", update)
-        if self._probe is not None:
-            self._probe.commit(now, txn)
+        self.lifecycle.commit(txn, self.env.now)
+        self._release(txn)
+
+    def _release(self, txn: Transaction) -> None:
+        """``txn`` left the CPU for good: free its locks and waiters."""
         self.locks.release_all(txn)
         if self._blocked:
             self._unblock_waiters()
-
-    def _measure_staleness(self, query: Query, now: float) -> float:
-        """The query's QoD metric per ``ServerConfig.qod_metric``."""
-        metric = self.config.qod_metric
-        if metric == "uu":
-            return self.database.query_staleness(query)
-        if metric == "td":
-            return self.database.query_time_differential(query, now)
-        return self.database.query_value_distance(query)
-
-    def _drop_query(self, query: Query) -> None:
-        now = self.env.now
-        query.finish_time = now
-        query.status = TxnStatus.DROPPED_LIFETIME
-        self.locks.release_all(query)
-        self.ledger.on_query_dropped(query, now)
-        self.scheduler.notify_query_finished(query)
-        if self.monitor is not None:
-            self._observe(self.monitor, "query_dropped", query)
-        if self._probe is not None:
-            self._probe.expire(now, query)
-        if self.query_outcome_hook is not None:
-            self.query_outcome_hook(query, False)
-        if self._blocked:
-            self._unblock_waiters()
-
-    def _handle_restart(self, loser: Transaction) -> None:
-        """A 2PL-HP victim: progress lost, back to its queue."""
-        loser.reset_for_restart()
-        self.ledger.on_restart(loser.is_query)
-        self._blocked.pop(loser, None)
-        loser.status = TxnStatus.QUEUED
-        if self._probe is not None:
-            self._probe.restart(self.env.now, loser)
-        self.scheduler.requeue(loser)
 
     def _unblock_waiters(self) -> None:
         """Lock state changed: give every blocked transaction another try.
@@ -646,22 +491,11 @@ class DatabaseServer:
         if self._crashed:
             return []
         self._crashed = True
-        stranded: list[Transaction] = []
-        running = self._running
-        if running is not None and running.alive:
-            stranded.append(running)
-        while True:
-            txn = self.scheduler.next_transaction(self.env.now)
-            if txn is None:
-                break
-            if txn.alive:
-                stranded.append(txn)
-        stranded.extend(txn for txn in self._blocked if txn.alive)
-        self._blocked.clear()
+        stranded = self._evict()
         for txn in stranded:
             self.locks.release_all(txn)
         self._last_class = None
-        if running is not None:
+        if self._running is not None:
             self._proc.interrupt(_Crashed())
         return stranded
 
@@ -697,75 +531,23 @@ class DatabaseServer:
         return self.wal.take_checkpoint(self.database, digest,
                                         self.env.now)
 
-    def lose_volatile_state(self) -> list[WalRecord]:
-        """Crash the durability layer: wipe the main-memory store and
-        drop the WAL's unflushed tail.  Returns the lost records (the
-        incident's RPO) for re-sync from the durable source."""
-        if self.wal is None:
-            return []
-        lost = self.wal.crash()
-        self.database.clear()
-        return lost
-
-    def restore_durable_state(self) -> tuple[
-            Checkpoint | None, int, list[WalRecord]]:
-        """Rebuild the store from the last checkpoint plus the *verified*
-        durable WAL tail; returns ``(checkpoint, records replayed,
-        records refused)``.
-
-        Silent corruption is survived, not fatal: the CRC scan truncates
-        the replay at the first record that fails verification — that
-        record and everything after it (the LSN chain past a torn record
-        is untrustworthy) come back in the third slot for the caller to
-        re-sync from a healthy peer or the durable source.  Strict
-        raise-on-corruption reads remain available via
-        :meth:`~repro.db.wal.WriteAheadLog.recover`.
-        """
-        if self.wal is None:
-            return None, 0, []
-        checkpoint, tail, refused = self.wal.recover_verified()
-        if checkpoint is not None:
-            self.database.restore(checkpoint.items)
-        for record in tail:
-            self.database.replay_applied(record)
-        return checkpoint, len(tail), refused
-
     # ------------------------------------------------------------------
     # End-of-run accounting
     # ------------------------------------------------------------------
     def finalize(self) -> None:
         """Account every transaction still in the system as unfinished."""
-        leftovers: list[Transaction] = []
-        if self._running is not None:
-            leftovers.append(self._running)
-        leftovers.extend(self._blocked)
-        self._blocked.clear()
-        while True:
-            txn = self.scheduler.next_transaction(self.env.now)
-            if txn is None:
-                break
-            leftovers.append(txn)
-        for txn in leftovers:
-            if not txn.alive:
-                continue
-            txn.status = TxnStatus.UNFINISHED
-            if self._probe is not None:
-                self._probe.unfinished(self.env.now, txn)
-            if txn.is_query:
-                self.ledger.on_query_unfinished(typing.cast(Query, txn))
-                if self.monitor is not None:
-                    self._observe(self.monitor, "query_unfinished", txn)
-            else:
-                self.ledger.on_update_unfinished(typing.cast(Update, txn))
-                if self.monitor is not None:
-                    self._observe(self.monitor, "update_unfinished", txn)
+        for txn in self._evict():
+            self.lifecycle.unfinish(txn, self.env.now)
 
-    def _queue_sampler(self) -> ProcessGenerator:
-        every = self.config.queue_sample_every
-        while True:
-            yield self.env.timeout(every)
-            self.queue_lengths.record(self.env.now,
-                                      self.scheduler.pending_queries())
+    def _evict(self) -> list[Transaction]:
+        """Empty the CPU slot, the queues and the blocked set; returns
+        the live transactions (running, then queued, then blocked)."""
+        evicted = [] if self._running is None else [self._running]
+        while (txn := self.scheduler.next_transaction(self.env.now)):
+            evicted.append(txn)
+        evicted.extend(self._blocked)
+        self._blocked.clear()
+        return [txn for txn in evicted if txn.alive]
 
     @property
     def lock_stats(self) -> dict[str, int]:

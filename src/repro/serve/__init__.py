@@ -10,7 +10,8 @@ budgeted client retry policy.  See ``docs/API.md`` §16.
 """
 
 from .clock import ManualClock, MonotonicClock
-from .gateway import OUTCOMES, GatewayConfig, GatewayReply, QCGateway
+from .gateway import (OUTCOMES, GatewayConfig, GatewayFailed, GatewayReply,
+                      QCGateway)
 from .loadgen import (DEADLINE_FACTOR, Arrival, LoadgenConfig,
                       RequestRecord, build_schedule, drive, run_cell,
                       summarize)
@@ -23,6 +24,7 @@ __all__ = [
     "OUTCOMES",
     "Arrival",
     "GatewayConfig",
+    "GatewayFailed",
     "GatewayReply",
     "LoadgenConfig",
     "ManualClock",

@@ -11,11 +11,13 @@ import argparse
 import asyncio
 import json
 import signal
+import sys
 import typing
 
 from repro.scheduling import make_scheduler
+from repro.sim.invariants import InvariantViolation
 
-from .gateway import GatewayConfig, QCGateway
+from .gateway import GatewayConfig, GatewayFailed, QCGateway
 from .loadgen import (LoadgenConfig, baseline_gateway_config,
                       defended_gateway_config, run_cell)
 from .protocol import serve_tcp
@@ -67,7 +69,9 @@ def _gateway_from_args(args: argparse.Namespace) -> QCGateway:
                      master_seed=args.seed)
 
 
-async def _serve_forever(args: argparse.Namespace) -> int:
+async def _serve_forever(args: argparse.Namespace) -> None:
+    """Serve until interrupted, or until a gateway task dies (then
+    ``gateway.stop()`` raises :class:`GatewayFailed`)."""
     gateway = _gateway_from_args(args)
     await gateway.start()
     server = await serve_tcp(gateway, args.host, args.port)
@@ -75,14 +79,11 @@ async def _serve_forever(args: argparse.Namespace) -> int:
     print(f"repro serve: policy={args.policy} admission={args.admission} "
           f"listening on {host}:{port}")
     try:
-        await server.serve_forever()
-    except asyncio.CancelledError:  # pragma: no cover - shutdown path
-        pass
+        await gateway.failed()
     finally:
         server.close()
         await server.wait_closed()
         await gateway.stop()
-    return 0
 
 
 def serve_main(argv: typing.Sequence[str] | None = None) -> int:
@@ -91,10 +92,13 @@ def serve_main(argv: typing.Sequence[str] | None = None) -> int:
     # SIGINT ignored and children inherit that, so take it back.
     signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
-        return asyncio.run(_serve_forever(args))
+        asyncio.run(_serve_forever(args))
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         print("repro serve: interrupted, shutting down")
-        return 0
+    except (GatewayFailed, InvariantViolation) as exc:
+        print(f"repro serve: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def build_loadgen_parser() -> argparse.ArgumentParser:

@@ -3,16 +3,17 @@
 :class:`QCGateway` drives the *same* :class:`~repro.scheduling.core.
 SchedulerCore` instances the DES drives — bound to a
 :class:`~repro.serve.clock.MonotonicClock` instead of simulated time —
-against an in-memory :class:`~repro.db.database.Database`, with the
-same :class:`~repro.metrics.profit.ProfitLedger` accounting (timestamps
-are gateway-clock milliseconds).  A single asyncio executor task owns
-the CPU: it pops the scheduler's choice, "runs" it by sleeping its
-service time in bounded slices (cooperative quanta, exactly the DES
-executor's slicing discipline), and commits with the same
-QC-evaluation semantics (`qc.evaluate(rt, staleness)`, brownout
-forfeits QoD).  Because only that one task touches the database, the
-2PL lock manager is unnecessary on the live path — serialisation is
-structural, not lock-based.
+and moves every transaction through the same
+:class:`~repro.db.lifecycle.Lifecycle` as the DES server: the same
+ledger calls, commit pricing and probe events (timestamps are
+gateway-clock milliseconds), with an
+:class:`~repro.sim.invariants.InvariantMonitor` always armed and
+verified at :meth:`QCGateway.stop`.  What stays here is I/O: futures,
+bounded ingress, deadlines, the sweeper, and a single asyncio executor
+task that owns the CPU — it pops the scheduler's choice and "runs" it by
+sleeping its service time in bounded slices (the DES executor's slicing
+discipline).  Only that task touches the database, so the live path
+needs no 2PL lock manager.
 
 The overload-robustness layer wraps that core:
 
@@ -31,13 +32,13 @@ The overload-robustness layer wraps that core:
   query that can no longer earn QoS profit never wastes CPU;
 * **graceful degradation** — brownout answers are served from current
   replica state at reduced service cost with the QoD half of the
-  contract honestly forfeited at commit (``degraded`` → ``qod = 0``),
-  identical to the DES commit rule.
+  contract honestly forfeited at commit (``degraded`` → ``qod = 0``).
 
 Every submission resolves to exactly one terminal
 :class:`GatewayReply` outcome — ``completed``, ``shed``,
 ``backpressure``, ``timed_out``, ``superseded``, or ``unfinished`` (at
-forced shutdown) — a conservation law the property tests pin down.
+shutdown, or once a gateway task died) — a conservation law the
+property tests pin down.
 """
 
 from __future__ import annotations
@@ -47,17 +48,19 @@ import dataclasses
 import typing
 
 from repro.db.admission import AdmissionPolicy
-from repro.db.database import Database, StalenessAggregation
+from repro.db.database import Database
+from repro.db.lifecycle import Lifecycle
 from repro.db.transactions import Query, Transaction, TxnStatus, Update
 from repro.metrics.profit import ProfitLedger
 from repro.qc.contracts import QualityContract
 from repro.scheduling.core import SchedulerCore
+from repro.sim.invariants import InvariantMonitor
 from repro.sim.rng import StreamRegistry
 
 from .clock import MonotonicClock
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.telemetry.hooks import ServerProbe, TelemetrySession
+    from repro.telemetry.hooks import TelemetrySession
 
 #: Terminal outcomes a submission can resolve to.
 OUTCOMES = ("completed", "shed", "backpressure", "timed_out",
@@ -100,12 +103,8 @@ class GatewayConfig:
     drop_expired: bool = True
     #: Period of the expired-work sweep over the waiting queries.
     sweep_interval_ms: float = 25.0
-    #: Service-time divisor (2.0 halves every sleep: a 2× faster CPU).
-    cpu_speed: float = 1.0
     #: Backpressure hint handed to clients with a ``backpressure`` reply.
     retry_after_ms: float = 25.0
-    #: Staleness aggregation over a query's read set (paper default max).
-    staleness_aggregation: StalenessAggregation = "max"
 
     def __post_init__(self) -> None:
         if self.max_pending_queries <= 0:
@@ -125,9 +124,10 @@ class GatewayConfig:
             raise ValueError(
                 f"sweep_interval_ms must be positive, got "
                 f"{self.sweep_interval_ms}")
-        if self.cpu_speed <= 0:
-            raise ValueError(
-                f"cpu_speed must be positive, got {self.cpu_speed}")
+
+
+class GatewayFailed(RuntimeError):
+    """A gateway task died; ``__cause__`` is the task's exception."""
 
 
 class QCGateway:
@@ -142,24 +142,29 @@ class QCGateway:
         #: The decision core — the same instance type the DES drives.
         self.scheduler = scheduler
         self.admission = admission
-        self.database = Database(
-            staleness_aggregation=self.config.staleness_aggregation)
+        self.database = Database()
         self.ledger = ProfitLedger()
         self.streams = StreamRegistry(master_seed)
         self.clock = MonotonicClock()
         self.telemetry = telemetry
-        self._probe: "ServerProbe | None" = None
+        #: Conservation laws, always armed on the gateway's own clock.
+        self.monitor = InvariantMonitor(lambda: self.clock.now)
+        self.lifecycle = Lifecycle(self.ledger, scheduler,
+                                   database=self.database,
+                                   monitor=self.monitor)
+        #: The exception a gateway task died with (None while healthy).
+        self.error: BaseException | None = None
+        self._failed = asyncio.Event()
 
         self._running = False
         self._tasks: list[asyncio.Task[None]] = []
         self._work = asyncio.Event()
         self._running_txn: Transaction | None = None
         self._preempted_by: Transaction | None = None
-        #: txn_id -> (txn, future) for every in-flight submission.
-        self._waiters: dict[
-            int, tuple[Transaction, asyncio.Future[GatewayReply]]] = {}
-        #: txn_id -> absolute deadline (gateway-clock ms).
-        self._deadlines: dict[int, float] = {}
+        #: txn_id -> (txn, future, absolute deadline in gateway-clock
+        #: ms) for every in-flight submission.
+        self._waiters: dict[int, tuple[
+            Transaction, asyncio.Future[GatewayReply], float]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -170,7 +175,7 @@ class QCGateway:
             return
         self._running = True
         if self.telemetry is not None:
-            self._probe = self.telemetry.server_probe("gateway")
+            self.lifecycle.probe = self.telemetry.server_probe("gateway")
             self.scheduler.attach_telemetry(
                 self.telemetry.scheduler_probe("gateway"))
         self.scheduler.bind_clock(self.clock, self.streams)
@@ -178,32 +183,48 @@ class QCGateway:
         loop = asyncio.get_running_loop()
         self._tasks = [loop.create_task(self._executor(), name="gw-executor"),
                        loop.create_task(self._sweeper(), name="gw-sweeper")]
+        for task in self._tasks:
+            task.add_done_callback(self._on_task_done)
+
+    def _on_task_done(self, task: "asyncio.Task[None]") -> None:
+        """A task that dies takes the gateway down: every waiter
+        resolves ``unfinished`` and :meth:`failed` returns."""
+        if task.cancelled() or task.exception() is None:
+            return
+        if self.error is None:
+            self.error = task.exception()
+        self._running = False
+        self._work.set()
+        for txn_id in list(self._waiters):
+            self._resolve(txn_id, GatewayReply("unfinished", txn_id))
+        self._failed.set()
+
+    async def failed(self) -> BaseException:
+        """Wait until a gateway task dies; returns its exception."""
+        await self._failed.wait()
+        return typing.cast(BaseException, self.error)
 
     async def stop(self) -> None:
-        """Stop serving; unresolved submissions resolve ``unfinished``."""
+        """Stop serving; unresolved submissions resolve ``unfinished``.
+
+        Then the monitor verifies its conservation laws.  Raises
+        :class:`GatewayFailed` if a gateway task died.
+        """
         self._running = False
         self._work.set()
         await self.clock.stop()
         tasks, self._tasks = self._tasks, []
         for task in tasks:
             task.cancel()
-        for task in tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        await asyncio.gather(*tasks, return_exceptions=True)
+        now = self.clock.now
         for txn_id in list(self._waiters):
-            txn, _ = self._waiters[txn_id]
-            if txn.alive:
-                txn.status = TxnStatus.UNFINISHED
-            if txn.is_query:
-                self.ledger.on_query_unfinished(
-                    typing.cast(Query, txn))
-            else:
-                self.ledger.on_update_unfinished(
-                    typing.cast(Update, txn))
+            self.lifecycle.unfinish(self._waiters[txn_id][0], now)
             self._resolve(txn_id, GatewayReply("unfinished", txn_id))
-        self._deadlines.clear()
+        if self.error is not None:
+            raise GatewayFailed(
+                f"gateway task failed: {self.error!r}") from self.error
+        self.monitor.verify_complete(self.ledger.total_gained)
 
     async def drain(self, timeout_ms: float = 10_000.0) -> bool:
         """Wait until every in-flight submission resolved (True) or the
@@ -215,12 +236,6 @@ class QCGateway:
             await asyncio.sleep(0.005)
         return True
 
-    @property
-    def pending(self) -> int:
-        """Queued transactions (the bounded-ingress occupancy)."""
-        return (self.scheduler.pending_queries()
-                + self.scheduler.pending_updates())
-
     # ------------------------------------------------------------------
     # Ingress
     # ------------------------------------------------------------------
@@ -229,87 +244,58 @@ class QCGateway:
                      exec_ms: float) -> "asyncio.Future[GatewayReply]":
         """Submit a query; the future resolves to its terminal reply."""
         now = self.clock.now
-        query = Query(now, exec_ms / self.config.cpu_speed, items, qc)
-        future: asyncio.Future[GatewayReply] = (
-            asyncio.get_running_loop().create_future())
-        if self._probe is not None:
-            self._probe.arrive(now, query)
+        query = Query(now, exec_ms, items, qc)
+        if self.error is not None:
+            return _answered(GatewayReply("unfinished", query.txn_id))
         if (self.scheduler.pending_queries()
                 >= self.config.max_pending_queries):
             self.ledger.counters.increment("queries_backpressured")
-            future.set_result(GatewayReply(
+            return _answered(GatewayReply(
                 "backpressure", query.txn_id,
                 retry_after_ms=self.config.retry_after_ms))
-            return future
-        if self.admission is not None and not self.admission.admit(
-                query, typing.cast(typing.Any, self)):
-            query.status = TxnStatus.REJECTED
-            query.finish_time = now
-            self.ledger.on_query_rejected(
-                query, now,
-                shed=getattr(self.admission, "is_shedding", False))
-            if self._probe is not None:
-                self._probe.reject(now, query)
-            future.set_result(GatewayReply(
+        if not self.lifecycle.admit(query, now, self.admission, self):
+            return _answered(GatewayReply(
                 "shed", query.txn_id,
                 retry_after_ms=self.config.retry_after_ms))
-            return future
-        self._waiters[query.txn_id] = (query, future)
-        self._deadlines[query.txn_id] = self._deadline_for(query)
-        query.status = TxnStatus.QUEUED
-        self.ledger.on_query_submitted(query, now)
-        self.scheduler.submit_query(query)
-        if self._probe is not None:
-            self._probe.queued(now, query)
-        self._on_arrival(query)
-        return future
+        deadline = query.lifetime_deadline
+        factor, rt_max = self.config.deadline_factor, query.qc.rt_max
+        if factor is not None and 0 < rt_max < float("inf"):
+            deadline = min(deadline, query.arrival_time + factor * rt_max)
+        return self._wait_for(query, deadline)
 
     def submit_update(self, item: str, value: float,
                       exec_ms: float) -> "asyncio.Future[GatewayReply]":
         """Submit a blind update; resolves ``completed`` when applied or
         ``superseded`` when a newer update for the item invalidates it."""
         now = self.clock.now
-        update = Update(now, exec_ms / self.config.cpu_speed, item, value)
-        future: asyncio.Future[GatewayReply] = (
-            asyncio.get_running_loop().create_future())
-        if self._probe is not None:
-            self._probe.arrive(now, update)
+        update = Update(now, exec_ms, item, value)
+        if self.error is not None:
+            return _answered(GatewayReply("unfinished", update.txn_id))
         if (self.scheduler.pending_updates()
                 >= self.config.max_pending_updates):
             self.ledger.counters.increment("updates_backpressured")
-            future.set_result(GatewayReply(
+            return _answered(GatewayReply(
                 "backpressure", update.txn_id,
                 retry_after_ms=self.config.retry_after_ms))
-            return future
-        superseded = self.database.register_update(update, now)
+        superseded = self.lifecycle.register(update, now)
         if superseded is not None:
-            self.ledger.on_update_superseded(superseded, now)
-            if self._probe is not None \
-                    and superseded.status is TxnStatus.DROPPED_SUPERSEDED:
-                self._probe.supersede(now, superseded, update)
             self._resolve(superseded.txn_id,
                           GatewayReply("superseded", superseded.txn_id))
-        self._waiters[update.txn_id] = (update, future)
-        update.status = TxnStatus.QUEUED
-        self.scheduler.submit_update(update)
-        if self._probe is not None:
-            self._probe.queued(now, update)
-        self._on_arrival(update)
-        return future
+        self.lifecycle.enqueue(update, now)
+        return self._wait_for(update)
 
-    def _deadline_for(self, query: Query) -> float:
-        deadline = query.lifetime_deadline
-        factor = self.config.deadline_factor
-        rt_max = query.qc.rt_max
-        if factor is not None and 0 < rt_max < float("inf"):
-            deadline = min(deadline, query.arrival_time + factor * rt_max)
-        return deadline
-
-    def _on_arrival(self, txn: Transaction) -> None:
+    def _wait_for(self, txn: Transaction, deadline: float = float("inf"),
+                  ) -> "asyncio.Future[GatewayReply]":
+        """Track a queued ``txn`` until it resolves; wake the CPU (or
+        flag a preemption of the running transaction)."""
+        future: asyncio.Future[GatewayReply] = (
+            asyncio.get_running_loop().create_future())
+        self._waiters[txn.txn_id] = (txn, future, deadline)
         self._work.set()
         running = self._running_txn
         if running is not None and self.scheduler.preempts(running, txn):
             self._preempted_by = txn
+        return future
 
     # ------------------------------------------------------------------
     # The executor task (the single CPU)
@@ -329,23 +315,13 @@ class QCGateway:
                 continue  # lazily-deleted entry (e.g. superseded update)
             now = clock.now
             if (self.config.drop_expired and txn.is_query
-                    and self._expired(typing.cast(Query, txn), now)):
+                    and now >= self._waiters[txn.txn_id][2]):
                 self._drop_expired(typing.cast(Query, txn), now)
                 continue
             await self._run(txn)
 
-    def _expired(self, query: Query, now: float) -> bool:
-        deadline = self._deadlines.get(query.txn_id,
-                                       query.lifetime_deadline)
-        return now >= deadline
-
     def _drop_expired(self, query: Query, now: float) -> None:
-        query.status = TxnStatus.DROPPED_LIFETIME
-        query.finish_time = now
-        self.ledger.on_query_dropped(query, now)
-        self.scheduler.notify_query_finished(query)
-        if self._probe is not None:
-            self._probe.expire(now, query)
+        self.lifecycle.drop(query, now)
         self._resolve(query.txn_id,
                       GatewayReply("timed_out", query.txn_id))
 
@@ -359,9 +335,8 @@ class QCGateway:
         response time, exactly like a busy real server.
         """
         scheduler, clock, config = self.scheduler, self.clock, self.config
-        txn.status = TxnStatus.RUNNING
-        if txn.start_time is None:
-            txn.start_time = clock.now
+        probe = self.lifecycle.probe
+        self.lifecycle.start(txn, clock.now)
         self._running_txn = txn
         self._preempted_by = None
         try:
@@ -369,17 +344,14 @@ class QCGateway:
                 now = clock.now
                 quantum = scheduler.quantum(txn, now)
                 if quantum <= 0.0:
-                    txn.status = TxnStatus.QUEUED
-                    txn.preemptions += 1
-                    scheduler.requeue(txn)
-                    return
+                    break
                 slice_ms = min(txn.remaining, quantum, config.slice_ms)
                 slice_start = now
                 await asyncio.sleep(slice_ms / 1000.0)
                 if not txn.alive:
                     return  # superseded mid-run; already resolved
-                if self._probe is not None:
-                    self._probe.cpu_slice(slice_start, clock.now, txn)
+                if probe is not None:
+                    probe.cpu_slice(slice_start, clock.now, txn)
                 txn.remaining -= slice_ms
                 if txn.remaining <= 1e-9:
                     self._commit(txn)
@@ -387,49 +359,31 @@ class QCGateway:
                 preemptor = self._preempted_by
                 if preemptor is not None:
                     self._preempted_by = None
-                    txn.status = TxnStatus.QUEUED
-                    txn.preemptions += 1
-                    scheduler.requeue(txn)
-                    if self._probe is not None:
-                        self._probe.preempt(clock.now, txn, preemptor)
-                    return
+                    if probe is not None:
+                        probe.preempt(clock.now, txn, preemptor)
+                    break
+            # Off the CPU with work left (zero quantum or preempted).
+            txn.status = TxnStatus.QUEUED
+            txn.preemptions += 1
+            scheduler.requeue(txn)
         finally:
             self._running_txn = None
 
     def _commit(self, txn: Transaction) -> None:
-        now = self.clock.now
-        txn.finish_time = now
-        txn.status = TxnStatus.COMMITTED
+        self.lifecycle.commit(txn, self.clock.now)
         if txn.is_query:
             query = typing.cast(Query, txn)
-            query.staleness = self.database.query_staleness(query)
-            qos, qod = query.qc.evaluate(query.response_time(),
-                                         query.staleness)
-            if query.degraded:
-                # Brownout answers skip freshness work: the QoD half of
-                # the contract is forfeited, whatever the staleness
-                # metric says (the QoS half is what brownout saves).
-                qod = 0.0
-            query.qos_profit = qos
-            query.qod_profit = qod
-            self.ledger.on_query_committed(query, now)
-            self.scheduler.notify_query_finished(query)
-            self._resolve(query.txn_id, GatewayReply(
+            reply = GatewayReply(
                 "completed", query.txn_id,
                 response_time_ms=query.response_time(),
-                qos_profit=qos, qod_profit=qod,
+                qos_profit=query.qos_profit, qod_profit=query.qod_profit,
                 staleness=query.staleness, degraded=query.degraded,
                 values={key: self.database.read(key)
-                        for key in query.items}))
+                        for key in query.items})
         else:
-            update = typing.cast(Update, txn)
-            self.database.apply_update(update, now)
-            self.ledger.on_update_applied(update, now)
-            self._resolve(update.txn_id, GatewayReply(
-                "completed", update.txn_id,
-                response_time_ms=update.response_time()))
-        if self._probe is not None:
-            self._probe.commit(now, txn)
+            reply = GatewayReply("completed", txn.txn_id,
+                                 response_time_ms=txn.response_time())
+        self._resolve(txn.txn_id, reply)
 
     # ------------------------------------------------------------------
     # The deadline sweeper task
@@ -451,20 +405,25 @@ class QCGateway:
                 continue
             now = self.clock.now
             expired = [typing.cast(Query, txn)
-                       for txn, _ in self._waiters.values()
-                       if txn.is_query
-                       and txn.status is TxnStatus.QUEUED
-                       and now >= self._deadlines.get(
-                           txn.txn_id, float("inf"))]
+                       for txn, _, deadline in self._waiters.values()
+                       if txn.is_query and txn.status is TxnStatus.QUEUED
+                       and now >= deadline]
             for query in expired:
                 self._drop_expired(query, now)
 
     # ------------------------------------------------------------------
     def _resolve(self, txn_id: int, reply: GatewayReply) -> None:
         entry = self._waiters.pop(txn_id, None)
-        self._deadlines.pop(txn_id, None)
         if entry is None:
             return
-        _, future = entry
+        future = entry[1]
         if not future.done():
             future.set_result(reply)
+
+
+def _answered(reply: GatewayReply) -> "asyncio.Future[GatewayReply]":
+    """A future already resolved to ``reply`` (ingress bounces)."""
+    future: asyncio.Future[GatewayReply] = (
+        asyncio.get_running_loop().create_future())
+    future.set_result(reply)
+    return future

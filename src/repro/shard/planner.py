@@ -30,9 +30,9 @@ path — commit, drop, crash loss, end-of-run finalisation):
 * every sub failed → the parent takes the dominant failure (crash loss
   > lifetime drop > unfinished) so cluster accounting stays faithful.
 
-Every parent and sub-query is also recorded with the run's
-:class:`~repro.sim.invariants.InvariantMonitor`, so the conservation
-laws cover the fan-out layer: each sub terminates exactly once, each
+Parents (and the opening of every sub) go through a scheduler-less
+:class:`~repro.db.lifecycle.Lifecycle` with the run's invariant monitor,
+so the conservation laws cover the fan-out layer: each sub and each
 parent terminates exactly once, and the profit credited for a parent
 matches the fan-out ledger's gained total.
 """
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.db.lifecycle import Lifecycle
 from repro.db.transactions import Query, TxnStatus
 from repro.metrics.profit import ProfitLedger
 
@@ -77,10 +78,10 @@ class ShardPlanner:
                  monitor: "InvariantMonitor | None" = None,
                  probe: "ShardProbe | None" = None) -> None:
         self.env = env
-        self.monitor = monitor
         self.probe = probe
         #: Prices and credits every fan-out parent contract.
         self.ledger = ProfitLedger()
+        self.lifecycle = Lifecycle(self.ledger, monitor=monitor)
         #: parent txn_id -> in-flight state; removed at resolution.
         self.open_fanouts: dict[int, FanoutState] = {}
         self.fanouts_resolved = 0
@@ -104,9 +105,8 @@ class ShardPlanner:
         every sub are opened with the invariant monitor.
         """
         now = self.env.now
-        self.ledger.on_query_submitted(query, now)
-        if self.monitor is not None:
-            self.monitor.record("query_submitted", txn_id=query.txn_id)
+        lifecycle = self.lifecycle
+        lifecycle.book(query, now)
         state = FanoutState(query, now, expected=len(owners))
         self.open_fanouts[query.txn_id] = state
         n_items = len(query.items)
@@ -119,8 +119,7 @@ class ShardPlanner:
                         lifetime_deadline=query.lifetime_deadline)
             sub.shadow_priced = True
             sub.on_terminal = self._make_terminal_hook(state)
-            if self.monitor is not None:
-                self.monitor.record("query_submitted", txn_id=sub.txn_id)
+            lifecycle.arrive(sub, now)
             state.subs.append(sub)
             planned.append((shard, sub))
         if self.probe is not None:
@@ -145,27 +144,15 @@ class ShardPlanner:
         committed = [sub for sub in state.subs
                      if sub.status is TxnStatus.COMMITTED]
         failed = len(state.subs) - len(committed)
-        parent.finish_time = now
         if committed:
+            # Partial result: answer with what arrived, forfeit the
+            # freshness half — repro.serve's degraded-commit rule.
             # Staleness aggregates over the slices that answered (max —
             # the same aggregation Database applies within one server).
-            parent.staleness = max(
-                typing.cast(float, sub.staleness) for sub in committed)
-            qos, qod = parent.qc.evaluate(parent.response_time(),
-                                          parent.staleness)
             if failed:
-                # Partial result: answer with what arrived, forfeit the
-                # freshness half — repro.serve's degraded-commit rule.
                 parent.degraded = True
-                qod = 0.0
-            parent.qos_profit = qos
-            parent.qod_profit = qod
-            parent.status = TxnStatus.COMMITTED
-            self.ledger.on_query_committed(parent, now)
-            if self.monitor is not None:
-                self.monitor.record("query_committed",
-                                    txn_id=parent.txn_id,
-                                    profit=parent.total_profit)
+            self.lifecycle.commit(parent, now, staleness=max(
+                typing.cast(float, sub.staleness) for sub in committed))
             if self.probe is not None:
                 self.probe.merge(now, parent, state.submitted,
                                  len(committed), failed, parent.degraded)
@@ -173,19 +160,11 @@ class ShardPlanner:
         # Nothing answered: the parent inherits the dominant failure.
         statuses = {sub.status for sub in state.subs}
         if TxnStatus.LOST_CRASH in statuses:
-            parent.status = TxnStatus.LOST_CRASH
-            self.ledger.on_query_lost_to_crash(parent, now)
-            kind = "query_lost"
+            self.lifecycle.lose(parent, now)
         elif statuses == {TxnStatus.UNFINISHED}:
-            parent.status = TxnStatus.UNFINISHED
-            self.ledger.on_query_unfinished(parent)
-            kind = "query_unfinished"
+            self.lifecycle.unfinish(parent, now)
         else:
-            parent.status = TxnStatus.DROPPED_LIFETIME
-            self.ledger.on_query_dropped(parent, now)
-            kind = "query_dropped"
-        if self.monitor is not None:
-            self.monitor.record(kind, txn_id=parent.txn_id)
+            self.lifecycle.drop(parent, now)
         if self.probe is not None:
             self.probe.merge(now, parent, state.submitted, 0, failed,
                              True)

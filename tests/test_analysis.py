@@ -653,6 +653,86 @@ class TestSingleEventQueue:
 
 
 # ----------------------------------------------------------------------
+class TestSingleLifecycle:
+    def test_fires_on_ledger_hooks_outside_lifecycle(self, tmp_path):
+        findings = lint_snippet(tmp_path, """\
+            def finish(ledger, query, update, now):
+                ledger.on_query_committed(query, now)
+                self_ledger = ledger
+                self_ledger.on_update_applied(update, now)
+            """, relpath="src/repro/serve/fixture_mod.py",
+            select=["single-lifecycle"])
+        assert rule_ids(findings) == ["single-lifecycle"] * 2
+        assert "on_query_committed" in findings[0].message
+        assert findings[1].line == 4
+
+    def test_fires_on_contract_evaluation(self, tmp_path):
+        findings = lint_snippet(tmp_path, """\
+            def pay(query, qc):
+                first = query.qc.evaluate(query.response_time(), 0.0)
+                second = qc.evaluate(1.0, 0.0)
+                return first, second
+            """, relpath="src/repro/shard/fixture_mod.py",
+            select=["single-lifecycle"])
+        assert rule_ids(findings) == ["single-lifecycle"] * 2
+        assert [f.line for f in findings] == [2, 3]
+
+    def test_quiet_in_lifecycle_and_ledger_modules(self, tmp_path):
+        code = """\
+            def commit(self, query, now):
+                qos, qod = query.qc.evaluate(query.response_time(), 0.0)
+                self.ledger.on_query_committed(query, now)
+            """
+        for relpath in ("src/repro/db/lifecycle.py",
+                        "src/repro/metrics/profit.py"):
+            assert lint_snippet(tmp_path, code, relpath=relpath,
+                                select=["single-lifecycle"]) == []
+
+    def test_fires_on_restart_accounting(self, tmp_path):
+        findings = lint_snippet(tmp_path, """\
+            def victim(ledger, txn):
+                ledger.on_restart(txn.is_query)
+            """, relpath="src/repro/db/fixture_mod.py",
+            select=["single-lifecycle"])
+        assert rule_ids(findings) == ["single-lifecycle"]
+
+    def test_quiet_on_other_calls_and_outside_library(self, tmp_path):
+        # Plain counters and other hooks are not ledger transitions; an
+        # evaluate() on something other than a contract is not pricing;
+        # benchmarks may time the ledger directly.
+        findings = lint_snippet(tmp_path, """\
+            def other(ledger, probe, model, query, event):
+                ledger.counters.increment("queries_adopted")
+                probe.on_event(event)
+                query.on_terminal(query)
+                return model.evaluate(query)
+            """, relpath="src/repro/db/fixture_mod.py",
+            select=["single-lifecycle"])
+        assert findings == []
+        findings = lint_snippet(tmp_path, """\
+            def micro(ledger, query):
+                query.qc.evaluate(1.0, 0.0)
+                ledger.on_query_committed(query, 60.0)
+            """, relpath="benchmarks/perf/fixture_mod.py",
+            select=["single-lifecycle"])
+        assert findings == []
+
+    def test_suppressible_inline(self, tmp_path):
+        findings = lint_snippet(tmp_path, """\
+            def audit(ledger, query, now):
+                ledger.on_query_dropped(query, now)  # repro: lint-ignore[single-lifecycle]
+            """, relpath="src/repro/cluster/fixture_mod.py",
+            select=["single-lifecycle"])
+        assert findings == []
+
+    def test_library_is_clean(self):
+        findings = lint_paths([REPO_ROOT / "src"],
+                              config=LintConfig(select=("single-lifecycle",)),
+                              root=REPO_ROOT)
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
 class TestEntropyTaint:
     def test_fires_on_direct_flow_into_timeout(self, tmp_path):
         findings = lint_snippet(tmp_path, """\

@@ -424,12 +424,6 @@ class TestInvariantMonitor:
         with pytest.raises(InvariantViolation, match="out of balance"):
             monitor.verify_complete(11.0)
 
-    def test_disabled_monitor_is_a_no_op(self):
-        monitor = InvariantMonitor(enabled=False)
-        monitor.record("query_committed", txn_id=1)  # would violate
-        monitor.verify_complete(123.0)
-        assert monitor.events_seen == 0
-
     def test_violation_carries_event_trace(self):
         monitor = InvariantMonitor(history=4)
         monitor.record("update_submitted", txn_id=1)

@@ -545,10 +545,6 @@ class TestServerConfigValidation:
         with pytest.raises(ValueError, match="class_switch_overhead"):
             ServerConfig(class_switch_overhead=-1.0)
 
-    def test_negative_queue_sample_every_rejected(self):
-        with pytest.raises(ValueError, match="queue_sample_every"):
-            ServerConfig(queue_sample_every=-5.0)
-
 
 # ----------------------------------------------------------------------
 # Router failure-awareness (the portal-independent contract)

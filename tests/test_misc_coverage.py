@@ -5,45 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.db.database import Database
-from repro.db.server import DatabaseServer, ServerConfig
-from repro.db.transactions import Query, TxnStatus, Update
-from repro.metrics.profit import ProfitLedger
 from repro.qc.contracts import CompositionMode, QualityContract
-from repro.scheduling import make_uh
-from repro.sim import Environment
-from repro.sim.rng import StreamRegistry
 
 nonneg = st.floats(min_value=0.0, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
-
-
-class TestDropLateQueriesOff:
-    def test_late_query_still_commits_when_dropping_disabled(self):
-        env = Environment()
-        ledger = ProfitLedger()
-        server = DatabaseServer(
-            env, Database(), make_uh(), ledger, StreamRegistry(0),
-            config=ServerConfig(class_switch_overhead=0.0,
-                                drop_late_queries=False))
-
-        def scenario(env):
-            query = Query(0.0, 7.0, ("A",),
-                          QualityContract.step(10, 50, 10, 1,
-                                               lifetime=10.0))
-            server.submit_query(query)
-            for k in range(10):
-                server.submit_update(Update(0.0, 2.0, f"U{k}"))
-            yield env.timeout(0)
-            return query
-
-        proc = env.process(scenario(env))
-        env.run(until=200.0)
-        query = proc.value
-        # Past its 10 ms lifetime, but dropping is disabled: it commits.
-        assert query.status is TxnStatus.COMMITTED
-        assert query.finish_time > 10.0
-        assert ledger.counters.value("queries_dropped_lifetime") == 0
 
 
 class TestContractEvaluationBounds:

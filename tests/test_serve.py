@@ -28,17 +28,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.admission import BrownoutAdmission, OverloadShedding
+from repro.db.admission import (AdmissionPolicy, BrownoutAdmission,
+                                OverloadShedding)
+from repro.db.database import Database
+from repro.db.server import DatabaseServer, ServerConfig
 from repro.db.transactions import Query, TxnStatus, Update
+from repro.metrics.profit import ProfitLedger
 from repro.qc.contracts import QualityContract
 from repro.scheduling import DESClock, QUTSScheduler, make_scheduler
 from repro.serve import (DEADLINE_FACTOR, OUTCOMES, GatewayConfig,
-                         LoadgenConfig, ManualClock, MonotonicClock,
-                         ProtocolError, QCGateway, RetryBudget,
-                         RetryPolicy, build_schedule, drive, qc_from_wire,
-                         qc_to_wire, run_cell, serve_tcp, summarize)
+                         GatewayFailed, LoadgenConfig, ManualClock,
+                         MonotonicClock, ProtocolError, QCGateway,
+                         RetryBudget, RetryPolicy, build_schedule, drive,
+                         qc_from_wire, qc_to_wire, run_cell, serve_tcp,
+                         summarize)
 from repro.serve.cli import build_loadgen_parser, build_serve_parser
 from repro.sim import Environment
+from repro.sim.invariants import InvariantMonitor
 from repro.sim.rng import StreamRegistry
 
 
@@ -321,8 +327,6 @@ class TestGateway:
             GatewayConfig(slice_ms=0.0)
         with pytest.raises(ValueError):
             GatewayConfig(deadline_factor=-1.0)
-        with pytest.raises(ValueError):
-            GatewayConfig(cpu_speed=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -368,16 +372,169 @@ class TestOutcomeConservation:
                     futures.append(gateway.submit_update(
                         f"S{key:04d}", 1.0, exec_ms))
             await asyncio.wait(futures, timeout=5.0)
-            await gateway.stop()  # stragglers resolve "unfinished"
-            return [future.result() for future in futures]
+            # Stragglers resolve "unfinished"; stop() then verifies the
+            # armed monitor's conservation and profit laws.
+            await gateway.stop()
+            return [future.result() for future in futures], gateway
 
-        replies = asyncio.run(episode())
+        replies, gateway = asyncio.run(episode())
+        gateway.monitor.verify_complete(gateway.ledger.total_gained)
+        assert gateway.monitor.open_transactions == 0
+        bounced = sum(reply.outcome == "backpressure" for reply in replies)
+        # Every admitted-or-shed request opened and closed once.
+        assert gateway.monitor.events_seen >= 2 * (len(requests) - bounced)
         assert len(replies) == len(requests)  # nothing lost
         counts = {outcome: 0 for outcome in OUTCOMES}
         for reply in replies:
             assert reply.outcome in OUTCOMES
             counts[reply.outcome] += 1
         assert sum(counts.values()) == len(requests)  # nothing duplicated
+
+
+class _ScriptedAdmission(AdmissionPolicy):
+    """Sheds queries reading ``SHED``, browns out those reading
+    ``BROWN``: the same decisions on any executor and any clock."""
+
+    is_shedding = True
+
+    def admit(self, query, server):
+        if "SHED" in query.items:
+            return False
+        if "BROWN" in query.items:
+            query.apply_brownout(0.5)
+            server.ledger.counters.increment("queries_browned_out")
+        return True
+
+
+def _lifecycle_script():
+    """(phase, kind, args) for the shared FIFO scenario.  Phase 0 runs
+    at t=0; phase 1 arrives 5 ms later, behind a 40 ms update.  Margins
+    are tens of ms so wall-clock jitter cannot change an outcome."""
+    return [
+        (0, "update", ("A", 1.0, 40.0)),
+        (0, "update", ("B", 1.0, 10.0)),          # superseded below
+        (1, "update", ("B", 2.0, 10.0)),
+        (1, "query", (("A",), loose_qc(), 10.0)),  # commits
+        (1, "query", (("C",), loose_qc(lifetime=20.0), 10.0)),  # drops
+        (1, "query", (("BROWN",), loose_qc(), 20.0)),  # degraded commit
+        (1, "query", (("SHED",), loose_qc(), 10.0)),   # shed
+        (1, "query", (("D",), loose_qc(), 10_000.0)),  # unfinished
+    ]
+
+
+class TestOneLifecycleTwoExecutors:
+    def test_des_and_gateway_book_the_same_ledger(self):
+        """One FIFO scenario with every terminal path, through the DES
+        server and through the live gateway: equal terminal counters,
+        equal profit, and both armed monitors verify complete."""
+        env = Environment()
+        des_ledger = ProfitLedger()
+        des_monitor = InvariantMonitor(lambda: env.now)
+        server = DatabaseServer(
+            env, Database(), make_scheduler("FIFO"), des_ledger,
+            StreamRegistry(0), config=ServerConfig(class_switch_overhead=0.0),
+            admission=_ScriptedAdmission(), monitor=des_monitor)
+
+        def des_submit(kind, args, at):
+            if kind == "query":
+                items, qc, exec_ms = args
+                server.submit_query(Query(at, exec_ms, items, qc))
+            else:
+                item, value, exec_ms = args
+                server.submit_update(Update(at, exec_ms, item, value))
+
+        def feed(env):
+            for phase, kind, args in _lifecycle_script():
+                if env.now < 5.0 * phase:
+                    yield env.timeout(5.0 * phase - env.now)
+                des_submit(kind, args, env.now)
+
+        env.process(feed(env))
+        env.run(until=500.0)
+        server.finalize()
+        des_monitor.verify_complete(des_ledger.total_gained)
+
+        async def live():
+            gateway = QCGateway(
+                make_scheduler("FIFO"),
+                GatewayConfig(deadline_factor=None, slice_ms=5.0),
+                admission=_ScriptedAdmission())
+            await gateway.start()
+            futures, current = [], 0
+            for phase, kind, args in _lifecycle_script():
+                if phase != current:
+                    await asyncio.sleep(0.005 * (phase - current))
+                    current = phase
+                submit = (gateway.submit_query if kind == "query"
+                          else gateway.submit_update)
+                futures.append(submit(*args))
+            await asyncio.wait(futures[:-1], timeout=5.0)
+            await gateway.stop()  # verifies the gateway's monitor
+            return gateway, [future.result().outcome for future in futures]
+
+        gateway, outcomes = asyncio.run(live())
+        assert outcomes == ["completed", "superseded", "completed",
+                            "completed", "timed_out", "completed", "shed",
+                            "unfinished"]
+        assert gateway.monitor.open_transactions == 0
+        live_counts = gateway.ledger.counters.as_dict()
+        assert live_counts == des_ledger.counters.as_dict()
+        assert live_counts["queries_dropped_lifetime"] == 1
+        assert live_counts["queries_unfinished"] == 1
+        assert live_counts["updates_superseded"] == 1
+        assert gateway.ledger.total_gained == des_ledger.total_gained
+        assert gateway.ledger.qod_gained == des_ledger.qod_gained
+
+
+class TestGatewayTaskFailure:
+    @staticmethod
+    def _failing_fifo():
+        scheduler = make_scheduler("FIFO")
+        pop = scheduler.next_transaction
+
+        def next_transaction(now):
+            txn = pop(now)
+            if txn is not None:
+                raise RuntimeError("scheduler bug")
+            return txn
+
+        scheduler.next_transaction = next_transaction
+        return scheduler
+
+    def test_dead_executor_resolves_waiters_and_stop_raises(self):
+        async def scenario():
+            gateway = QCGateway(self._failing_fifo())
+            await gateway.start()
+            reply = await asyncio.wait_for(gateway.submit_query(
+                ("S0001",), loose_qc(), exec_ms=1.0), timeout=5.0)
+            error = await asyncio.wait_for(gateway.failed(), timeout=5.0)
+            late = await gateway.submit_update("S0001", 1.0, exec_ms=1.0)
+            with pytest.raises(GatewayFailed) as info:
+                await gateway.stop()
+            return reply, error, late, info.value
+
+        reply, error, late, failure = asyncio.run(scenario())
+        assert reply.outcome == "unfinished"
+        assert late.outcome == "unfinished"
+        assert isinstance(error, RuntimeError)
+        assert failure.__cause__ is error
+
+    def test_serve_exits_nonzero_when_the_executor_dies(self, monkeypatch,
+                                                        capsys):
+        import repro.serve.cli as serve_cli
+
+        def failing(policy):
+            scheduler = make_scheduler(policy)
+
+            def next_transaction(now):
+                raise RuntimeError("scheduler bug")
+
+            scheduler.next_transaction = next_transaction
+            return scheduler
+
+        monkeypatch.setattr(serve_cli, "make_scheduler", failing)
+        assert serve_cli.serve_main(["--port", "0"]) == 1
+        assert "scheduler bug" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
